@@ -53,12 +53,17 @@ impl BulkServer {
     fn pump(&mut self, api: &mut dyn Api) {
         let mut chunk = [0u8; CHUNK];
         while self.sent < self.goal {
-            let want = usize::try_from((self.goal - self.sent).min(CHUNK as u64)).expect("fits");
+            // Generate only what the send buffer will take.
+            let room = api.writable().min(CHUNK) as u64;
+            let want = usize::try_from((self.goal - self.sent).min(room)).expect("fits");
+            if want == 0 {
+                break; // send buffer full; resume on_writable
+            }
             fill_pattern(self.sent, &mut chunk[..want]);
             let n = api.write(&chunk[..want]);
             self.sent += n as u64;
             if n < want {
-                break; // send buffer full; resume on_writable
+                break;
             }
         }
     }

@@ -7,7 +7,7 @@
 
 use crate::api::{Api, Application};
 use crate::metrics::RunMetrics;
-use crate::pattern::{fill_pattern, pattern_byte, request_bytes};
+use crate::pattern::{count_pattern_mismatches, fill_pattern, request_bytes};
 use crate::upload::UploadServer;
 use crate::{INTERACTIVE_REPLY, REQUEST_SIZE};
 use netsim::SimTime;
@@ -101,6 +101,7 @@ impl Workload {
     /// equivalence test keeps the two in lockstep.
     #[cfg(test)]
     fn expected_byte(&self, k: u64, off: u64) -> u8 {
+        use crate::pattern::pattern_byte;
         match *self {
             // The echo reply is the request itself.
             Workload::Echo { .. } => {
@@ -141,22 +142,6 @@ impl Workload {
             }
         }
     }
-}
-
-/// Counts bytes of `data` differing from the pattern stream at `start`;
-/// also reports the index of the first difference.
-fn count_pattern_mismatches(start: u64, data: &[u8]) -> (u64, Option<u64>) {
-    let mut errors = 0u64;
-    let mut first = None;
-    for (i, &b) in data.iter().enumerate() {
-        if b != pattern_byte(start.wrapping_add(i as u64)) {
-            errors += 1;
-            if first.is_none() {
-                first = Some(i as u64);
-            }
-        }
-    }
-    (errors, first)
 }
 
 /// Counts positions where `data` differs from `expected` (equal lengths).
@@ -256,8 +241,12 @@ impl WorkloadClient {
         };
         let mut chunk = [0u8; 8 * 1024];
         while self.upload_sent < file_size {
-            let want = usize::try_from((file_size - self.upload_sent).min(chunk.len() as u64))
-                .expect("fits");
+            // Generate only what the send buffer will take.
+            let room = api.writable().min(chunk.len()) as u64;
+            let want = usize::try_from((file_size - self.upload_sent).min(room)).expect("fits");
+            if want == 0 {
+                break;
+            }
             fill_pattern(self.upload_sent, &mut chunk[..want]);
             let n = api.write(&chunk[..want]);
             self.upload_sent += n as u64;

@@ -155,7 +155,9 @@ obs_enum! {
 obs_enum! {
     /// Phase timestamps (virtual-time nanoseconds).
     Mark {
-        /// Latest instant the backup heard from the primary (kept fresh).
+        /// Latest instant the backup heard from the primary (kept fresh
+        /// by the two-node backup; a cluster chain records it once, at
+        /// its first suspicion, paired with `SuspectedPrimaryDead`).
         LastPrimaryHeard => "last_primary_heard",
         /// First instant the backup suspected the primary dead (§4.4).
         SuspectedPrimaryDead => "suspected_primary_dead",

@@ -24,7 +24,8 @@
 use super::{ClusterEngine, Topology};
 use crate::config::SttcpConfig;
 use crate::fleet::{
-    add_fleet_services, FleetSpec, BULK_PORT, ECHO_PORT, INTERACTIVE_PORT, UPLOAD_PORT,
+    add_fleet_services, FleetSpec, BULK_FILE, BULK_PORT, ECHO_PORT, INTERACTIVE_PORT,
+    INTERACTIVE_REPLY, UPLOAD_FILE, UPLOAD_PORT,
 };
 use crate::node::{ClientNode, ServerNode, LAN};
 use crate::scenario::addrs;
@@ -117,7 +118,8 @@ impl ClusterFleetSpec {
     }
 
     /// Replaces the seeded workload mix with one uniform workload
-    /// (builder style).
+    /// (builder style). Its size must be the one the fleet's service
+    /// for it serves; see [`build_cluster`].
     #[must_use]
     pub fn workload(mut self, workload: Workload) -> Self {
         self.workload = Some(workload);
@@ -197,6 +199,34 @@ impl ClusterFleetSpec {
     }
 }
 
+/// The fleet service port that serves `workload`.
+///
+/// The fleet's services have fixed sizes (one server app per port), so
+/// a workload of any other size would be served the wrong transfer.
+fn service_port(workload: Workload) -> u16 {
+    match workload {
+        Workload::Echo { .. } => ECHO_PORT,
+        Workload::Interactive { reply_size, .. } => {
+            assert_eq!(
+                reply_size, INTERACTIVE_REPLY,
+                "the fleet's interactive service replies INTERACTIVE_REPLY bytes"
+            );
+            INTERACTIVE_PORT
+        }
+        Workload::Bulk { file_size } => {
+            assert_eq!(file_size, BULK_FILE, "the fleet's bulk service serves BULK_FILE bytes");
+            BULK_PORT
+        }
+        Workload::Upload { file_size } => {
+            assert_eq!(
+                file_size, UPLOAD_FILE,
+                "the fleet's upload service expects UPLOAD_FILE bytes"
+            );
+            UPLOAD_PORT
+        }
+    }
+}
+
 /// A built cluster fleet.
 pub struct ClusterFleet {
     /// The simulator, ready to run.
@@ -217,6 +247,12 @@ pub struct ClusterFleet {
 
 /// Builds the simulator for `spec`. See the module docs for the
 /// wiring.
+///
+/// # Panics
+///
+/// Panics if `spec.workload` has a size other than the one the fleet's
+/// service for it serves ([`INTERACTIVE_REPLY`], [`BULK_FILE`],
+/// [`UPLOAD_FILE`]); any echo request count is accepted.
 pub fn build_cluster(spec: &ClusterFleetSpec) -> ClusterFleet {
     let n = spec.clients;
     let servers_total = 1 + spec.backups;
@@ -322,12 +358,7 @@ pub fn build_cluster(spec: &ClusterFleetSpec) -> ClusterFleet {
         let mut plan = plan_spec.client_plan(i);
         if let Some(workload) = spec.workload {
             plan.workload = workload;
-            plan.port = match workload {
-                Workload::Echo { .. } => ECHO_PORT,
-                Workload::Interactive { .. } => INTERACTIVE_PORT,
-                Workload::Bulk { .. } => BULK_PORT,
-                Workload::Upload { .. } => UPLOAD_PORT,
-            };
+            plan.port = service_port(workload);
         }
         let mut c_cfg = StackConfig::host(MacAddr::local(100 + i as u32), plan.ip);
         c_cfg.netmask_bits = 8;
@@ -436,6 +467,35 @@ mod tests {
     }
 
     #[test]
+    fn uniform_fleet_workloads_match_their_services() {
+        for workload in
+            [Workload::Bulk { file_size: BULK_FILE }, Workload::Upload { file_size: UPLOAD_FILE }]
+        {
+            let mut fleet = build_cluster(&ClusterFleetSpec::new(4, 1).workload(workload));
+            assert!(fleet.run_until_done(SimDuration::from_secs(30)), "{workload:?}");
+            assert!(fleet.verified_clean(), "{workload:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "UPLOAD_FILE")]
+    fn sized_upload_is_refused() {
+        let _ = build_cluster(&ClusterFleetSpec::new(4, 1).workload(Workload::upload_mb(1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "BULK_FILE")]
+    fn sized_bulk_is_refused() {
+        let _ = build_cluster(&ClusterFleetSpec::new(4, 1).workload(Workload::bulk_mb(1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "INTERACTIVE_REPLY")]
+    fn sized_interactive_is_refused() {
+        let _ = build_cluster(&ClusterFleetSpec::new(4, 1).workload(Workload::interactive()));
+    }
+
+    #[test]
     fn fault_free_chain_completes_clean() {
         let mut fleet = build_cluster(&ClusterFleetSpec::new(8, 2));
         assert!(
@@ -466,5 +526,25 @@ mod tests {
         assert!(fleet.engine(1).has_taken_over(), "rank 1 takes over");
         assert!(!fleet.engine(2).has_taken_over(), "rank 2 stays a backup");
         assert_eq!(fleet.engine(1).topology().epoch(), 1);
+    }
+
+    #[test]
+    fn chain_breakdown_reads_the_promoted_engines_detection() {
+        // Rank 2 keeps hearing the promoted rank 1 after the takeover;
+        // that must not overwrite the last-heard instant the breakdown
+        // measures detection from.
+        let spec = ClusterFleetSpec::new(8, 2)
+            .crash(0, SimTime::ZERO + SimDuration::from_millis(150))
+            .recording();
+        let mut fleet = build_cluster(&spec);
+        assert!(fleet.run_until_done(SimDuration::from_secs(60)));
+        let promoted = fleet.engine(1);
+        assert!(promoted.has_taken_over());
+        let own = promoted.suspected_at().expect("rank 1 suspected the primary")
+            - promoted.last_primary_heard().expect("rank 1 heard the primary");
+        let snap = fleet.obs.as_ref().expect("recording fleet").snapshot();
+        let breakdown = obs::TakeoverBreakdown::from_snapshot(&snap).expect("took over");
+        assert_eq!(breakdown.detection_ns(), own.as_nanos());
+        assert!(breakdown.detection_ns() > 0, "detection cannot be instantaneous");
     }
 }

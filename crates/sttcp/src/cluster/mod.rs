@@ -257,6 +257,12 @@ impl ClusterEngine {
         self.timer.suspected_at()
     }
 
+    /// When this node last heard its current primary (frozen at the
+    /// old primary's last message once this node promotes itself).
+    pub fn last_primary_heard(&self) -> Option<SimTime> {
+        self.timer.last_heard()
+    }
+
     /// Shadow lag in bytes (promotion-eligible at zero).
     pub fn catchup_lag(&self, stack: &NetStack) -> u64 {
         self.catchup.lag(stack)
@@ -304,7 +310,6 @@ impl ClusterEngine {
         }
         if from == self.topo.primary() && self.role != ClusterRole::Primary {
             self.timer.note_heard(now);
-            self.recorder.mark_latest(Mark::LastPrimaryHeard, now.as_nanos());
         }
         if self.role == ClusterRole::Primary {
             self.note_peer(now, from);
@@ -381,7 +386,7 @@ impl ClusterEngine {
                         // of the old reign; the takeover marks keep their
                         // crash-case meaning so TakeoverBreakdown reads
                         // the same either way.
-                        self.recorder.mark_first(Mark::SuspectedPrimaryDead, now.as_nanos());
+                        self.mark_suspicion(now);
                         self.promote(now, stack, Some(epoch));
                     }
                 }
@@ -838,7 +843,7 @@ impl ClusterEngine {
         };
         let deadline = promotion::detection_deadline(&self.cfg, rank);
         if let Some(silence) = self.timer.check(now, deadline) {
-            self.recorder.mark_first(Mark::SuspectedPrimaryDead, now.as_nanos());
+            self.mark_suspicion(now);
             self.recorder
                 .trace(now.as_nanos(), &TraceEvent::Suspected { silent_ns: silence.as_nanos() });
             if let Fencing::PowerSwitch { outlet } = self.cfg.fencing {
@@ -881,6 +886,16 @@ impl ClusterEngine {
                     .push((self.topo.primary(), SideMsg::DrainReady { rank: drain_rank, epoch }));
             }
         }
+    }
+
+    /// Records this engine's own last-heard and suspicion instants as
+    /// one first-wins pair. Every chain member shares one sink, so a
+    /// continuously refreshed last-heard mark would be overwritten by
+    /// the deeper ranks hearing the promoted successor.
+    fn mark_suspicion(&self, now: SimTime) {
+        let heard = self.timer.last_heard().unwrap_or(now);
+        self.recorder.mark_first(Mark::LastPrimaryHeard, heard.as_nanos());
+        self.recorder.mark_first(Mark::SuspectedPrimaryDead, now.as_nanos());
     }
 
     fn logger_query_due(&self, now: SimTime) -> bool {

@@ -63,8 +63,12 @@ struct ConnState {
     peer_closed: bool,
 }
 
-/// Tracks the single timer the node keeps armed for stack deadlines,
-/// ignoring stale wake-ups.
+/// Tracks the single timer the node keeps armed for stack deadlines.
+///
+/// Timers cannot be cancelled, so an earlier deadline leaves the
+/// previously armed wake in the queue as a stale one. Only the armed
+/// wake clears `armed`; a stale wake is inert, so each node holds at
+/// most one live stack wake and stale ones never re-arm a duplicate.
 #[derive(Debug, Default)]
 struct StackTimer {
     armed: Option<SimTime>,
@@ -80,8 +84,10 @@ impl StackTimer {
         }
     }
 
-    fn fired(&mut self) {
-        self.armed = None;
+    fn fired(&mut self, now: SimTime) {
+        if self.armed.is_some_and(|a| a <= now) {
+            self.armed = None;
+        }
     }
 }
 
@@ -676,7 +682,7 @@ impl Node for ServerNode {
                     ctx.set_timer_after(tick, TOK_TICK);
                 }
             }
-            TOK_STACK => self.timer.fired(),
+            TOK_STACK => self.timer.fired(ctx.now()),
             t if t >= TOK_APP_BASE => {
                 let sock = SockId::from_raw(t - TOK_APP_BASE);
                 let now = ctx.now();
@@ -814,7 +820,7 @@ impl Node for ClientNode {
             TOK_CONNECT if self.sock.is_none() => {
                 self.sock = self.stack.connect(ctx.now(), self.target.0, self.target.1).ok();
             }
-            TOK_STACK => self.timer.fired(),
+            TOK_STACK => self.timer.fired(ctx.now()),
             t if t >= TOK_APP_BASE => {
                 if let Some(sock) = self.sock {
                     let now = ctx.now();
@@ -857,5 +863,30 @@ impl Node for GatewayNode {
             let out_port = PortId(out_side.index());
             ctx.send_frame(out_port, out_frame);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn t(ms: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(ms)
+    }
+
+    #[test]
+    fn stale_stack_wake_keeps_the_armed_deadline() {
+        // Armed for 10 ms; a wake left over from a deadline that has
+        // since moved (4 ms) fires first and must not disarm it —
+        // otherwise the next pump arms a duplicate wake for 10 ms.
+        let mut timer = StackTimer { armed: Some(t(10)) };
+        timer.fired(t(4));
+        assert_eq!(timer.armed, Some(t(10)));
+        // The armed wake itself clears the slot.
+        timer.fired(t(10));
+        assert_eq!(timer.armed, None);
+        // With nothing armed, any wake is a no-op.
+        timer.fired(t(12));
+        assert_eq!(timer.armed, None);
     }
 }

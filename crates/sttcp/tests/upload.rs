@@ -138,6 +138,48 @@ fn upload_failover_with_tap_loss_and_logger() {
     assert!(eng.stats.missing_bytes_recovered > 0, "side channel must have recovered bytes");
 }
 
+/// True for an Ethernet/IPv4 frame carrying TCP to the service address.
+fn is_tcp_to_vip(frame: &bytes::Bytes) -> bool {
+    use wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet};
+    (|| {
+        let eth = EthernetFrame::parse(frame.clone()).ok()?;
+        if eth.ethertype != EtherType::Ipv4 {
+            return None;
+        }
+        let ip = Ipv4Packet::parse(eth.payload).ok()?;
+        Some(ip.protocol == IpProtocol::Tcp && ip.dst == addrs::VIP)
+    })()
+    .unwrap_or(false)
+}
+
+#[test]
+fn lossy_upload_wakes_each_node_once_per_stack_deadline() {
+    // Each node keeps one live stack wake. Retransmissions and window
+    // probes keep moving the client's deadline; if a stale wake
+    // re-armed the timer, duplicates would pile up at the same
+    // instants and the event count would outgrow the frames delivered.
+    // With one wake per deadline the simulator processes roughly one
+    // event per delivered frame plus the timers that really fire.
+    let crash = SimTime::ZERO + SimDuration::from_secs(3);
+    let cfg = st_cfg().with_hb_interval(SimDuration::from_millis(50)).with_logger();
+    let spec = ScenarioSpec::new(Workload::upload_mb(16))
+        .st_tcp(cfg)
+        .faults(FaultSpec::crash_primary_at(crash))
+        .with_logger();
+    let mut s = build(&spec);
+    let backup = s.backup.unwrap();
+    s.sim.add_ingress_drop(backup, DropRule::rate(0.01, is_tcp_to_vip));
+    let m = s.run(RunLimits::time(SimDuration::from_secs(600))).expect_completed();
+    assert!(m.verified_clean());
+    assert!(s.backup().unwrap().has_taken_over(), "the backup must take over");
+    let trace = s.sim.trace();
+    let (events, frames) = (trace.events_processed, trace.frames_delivered);
+    assert!(
+        events * 2 <= frames * 3,
+        "{events} events for {frames} delivered frames: stale stack wakes are re-arming"
+    );
+}
+
 #[test]
 fn slow_backup_acks_shrink_the_window_but_nothing_breaks() {
     // §4.2: "The behavior of ST-TCP will differ from that of standard
