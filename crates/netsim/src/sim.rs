@@ -581,7 +581,14 @@ impl Simulator {
             to,
             len: frame.len(),
         });
-        self.queue.push(arrival, EventKind::Frame { node: to, port: to_port, frame });
+        // One FIFO lane per link direction: frames leave in departure
+        // order, so the lane stays sorted unless jitter or a lowered
+        // latency lets a frame overtake (the queue handles that).
+        self.queue.push_lane(
+            link_id.0 * 2 + end,
+            arrival,
+            EventKind::Frame { node: to, port: to_port, frame },
+        );
     }
 }
 

@@ -172,7 +172,8 @@ pub struct ScenarioSpec {
     /// Capacity of the flight-recorder trace ring, when tracing is on
     /// (off by default for the same hot-path reason as `record_obs`).
     pub trace_capacity: Option<usize>,
-    /// Insert the in-network packet logger (§3.2).
+    /// Insert the in-network packet logger (§3.2) on the client's path
+    /// (hub and gateway topologies); the ST-TCP engines then use it.
     pub with_logger: bool,
     /// Attach a power switch on the management segment.
     pub with_power_switch: bool,
@@ -260,7 +261,8 @@ impl ScenarioSpec {
         self
     }
 
-    /// Adds the packet logger (builder style).
+    /// Adds the packet logger (builder style); the ST-TCP engines use it
+    /// for recovery without a separate `SttcpConfig::with_logger`.
     #[must_use]
     pub fn with_logger(mut self) -> Self {
         self.with_logger = true;
@@ -429,6 +431,15 @@ pub fn build(spec: &ScenarioSpec) -> Scenario {
             (sim.add_node("server", node), None)
         }
         Deployment::StTcp(sttcp_cfg) => {
+            // An inserted logger is one the engines may query (§3.2),
+            // whether or not the ST-TCP config asked for it.
+            let logger_inserted = spec.with_logger
+                && matches!(
+                    spec.topology,
+                    Topology::Hub | Topology::SharedMediumHub { .. } | Topology::GatewaySwitch
+                );
+            let sttcp_cfg =
+                if logger_inserted { sttcp_cfg.clone().with_logger() } else { sttcp_cfg.clone() };
             let mut p_tcp = spec.tcp.clone();
             p_tcp.retention_buf = p_tcp.recv_buf; // "double the space" (§4.2)
             let mut p_cfg = primary_cfg.clone();
@@ -462,8 +473,7 @@ pub fn build(spec: &ScenarioSpec) -> Scenario {
                     b_cfg.static_arp.push((addrs::GW_LAN_SIDE, gme));
                 }
             }
-            let mut b_node =
-                ServerNode::backup(b_cfg, sttcp_cfg.clone(), addrs::PRIMARY, mk_factory());
+            let mut b_node = ServerNode::backup(b_cfg, sttcp_cfg, addrs::PRIMARY, mk_factory());
             if let Some(rec) = recorder_for(Actor::Backup) {
                 b_node.set_recorder(rec);
             }

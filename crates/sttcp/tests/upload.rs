@@ -218,3 +218,22 @@ fn slow_backup_acks_shrink_the_window_but_nothing_breaks() {
     assert_eq!(app.content_errors, 0);
     assert_eq!(app.received(), 1 << 20);
 }
+
+#[test]
+fn scenario_logger_alone_turns_on_logger_recovery() {
+    // Inserting the logger through the scenario is enough: the engines
+    // must query it without `SttcpConfig::with_logger()` as well. With
+    // tap loss the backup misses client bytes the primary acked; after
+    // takeover only the logger still has them.
+    let crash = SimTime::ZERO + SimDuration::from_secs(30);
+    let spec = ScenarioSpec::new(Workload::upload_mb(100))
+        .st_tcp(st_cfg())
+        .faults(FaultSpec::crash_primary_at(crash))
+        .with_logger();
+    let mut s = build(&spec);
+    let backup = s.backup.unwrap();
+    s.sim.add_ingress_drop(backup, DropRule::rate(0.01, is_tcp_to_vip));
+    let m = s.run(RunLimits::time(SimDuration::from_secs(600))).expect_completed();
+    assert!(m.verified_clean());
+    assert!(s.backup().unwrap().has_taken_over(), "the backup must take over");
+}

@@ -66,9 +66,10 @@ impl fmt::Debug for SockId {
 pub(crate) struct Conn {
     /// The connection state machine itself.
     pub tcb: Tcb,
-    /// Listening port whose accept queue still references this socket
-    /// (cleared on accept), so release can unlink from exactly one queue.
-    pub listen_port: Option<u16>,
+    /// Listening port and SYN-arrival rank of a socket that came in on
+    /// a listener and is not yet accepted (cleared on accept), so it is
+    /// filed in, and unlinked from, exactly one ready queue.
+    pub backlog: Option<(u16, u64)>,
     /// Earliest timer-wheel entry currently scheduled for this socket,
     /// or `None` when every scheduled entry has already popped.
     pub armed: Option<SimTime>,
@@ -81,7 +82,7 @@ pub(crate) struct Conn {
 
 impl Conn {
     pub(crate) fn new(tcb: Tcb) -> Self {
-        Conn { tcb, listen_port: None, armed: None, queued_poll: false, queued_activity: false }
+        Conn { tcb, backlog: None, armed: None, queued_poll: false, queued_activity: false }
     }
 }
 

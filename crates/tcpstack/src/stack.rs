@@ -105,8 +105,12 @@ pub struct NetStack {
     tcbs: TcbSlab,
     /// Quad demux for established/handshaking connections.
     by_quad: HashMap<Quad, SockId>,
-    /// Listener-port table: accept backlog per listening port.
-    listeners: HashMap<u16, Vec<SockId>>,
+    /// Listener-port table: per listening port, the sockets whose
+    /// handshake completed and that are not yet accepted, keyed by SYN
+    /// arrival (ascending). Half-open sockets are not listed.
+    listeners: HashMap<u16, VecDeque<(u64, SockId)>>,
+    /// SYN arrivals on listeners so far: the rank that orders accepts.
+    syn_arrivals: u64,
     udps: Vec<UdpSocket>,
     /// UDP demux: destination port → `udps` index (first bind wins).
     udp_ports: HashMap<u16, usize>,
@@ -161,6 +165,7 @@ impl NetStack {
             tcbs: TcbSlab::new(),
             by_quad: HashMap::new(),
             listeners: HashMap::new(),
+            syn_arrivals: 0,
             udps: Vec::new(),
             udp_ports: HashMap::new(),
             wheel: TimerWheel::new(),
@@ -237,20 +242,29 @@ impl NetStack {
         self.listeners.entry(port).or_default();
     }
 
-    /// Returns the next fully established connection accepted on `port`.
+    /// Returns the next fully established connection accepted on `port`:
+    /// of the sockets whose handshake completed, the one whose SYN arrived
+    /// first. One that closed before it was accepted is dropped from the
+    /// queue, never returned. O(1) apart from such dropped sockets.
     pub fn accept(&mut self, port: u16) -> Option<SockId> {
-        let queue = self.listeners.get_mut(&port)?;
-        let pos = queue.iter().position(|&sid| {
-            matches!(
-                self.tcbs.get(sid).map(|c| c.tcb.state()),
-                Some(s) if s.is_synchronized() && s != TcpState::Closed
-            )
-        })?;
-        let sock = queue.remove(pos);
-        if let Some(conn) = self.tcbs.get_mut(sock) {
-            conn.listen_port = None;
+        let ready = self.listeners.get_mut(&port)?;
+        while let Some((_, sock)) = ready.pop_front() {
+            if let Some(conn) = self.tcbs.get_mut(sock) {
+                conn.backlog = None;
+                if conn.tcb.state() != TcpState::Closed {
+                    return Some(sock);
+                }
+            }
         }
-        Some(sock)
+        None
+    }
+
+    /// Entries in `port`'s accept queue: connections whose handshake
+    /// completed and that were neither accepted nor released yet (one
+    /// that closed since still counts until [`NetStack::accept`] drops
+    /// it). Half-open connections never count.
+    pub fn accept_queue_len(&self, port: u16) -> usize {
+        self.listeners.get(&port).map_or(0, VecDeque::len)
     }
 
     /// Opens a connection from `local_ip` (must be one of ours) to the
@@ -385,11 +399,13 @@ impl NetStack {
         if let Some(conn) = self.tcbs.remove(sock) {
             debug_assert_eq!(conn.tcb.state(), TcpState::Closed, "release() requires a closed TCB");
             self.by_quad.remove(&conn.tcb.quad());
-            // At most one listener queue can still reference the socket;
-            // the slot remembers which.
-            if let Some(port) = conn.listen_port {
-                if let Some(queue) = self.listeners.get_mut(&port) {
-                    queue.retain(|&sid| sid != sock);
+            // At most one ready queue can still list the socket; the slot
+            // remembers which, and under which rank.
+            if let Some((port, rank)) = conn.backlog {
+                if let Some(ready) = self.listeners.get_mut(&port) {
+                    if let Ok(i) = ready.binary_search_by_key(&rank, |&(r, _)| r) {
+                        ready.remove(i);
+                    }
                 }
             }
         }
@@ -542,9 +558,21 @@ impl NetStack {
         let quad = Quad::new(dst, seg.dst_port, src, seg.src_port);
         if let Some(&sock) = self.by_quad.get(&quad) {
             if let Some(conn) = self.tcbs.get_mut(sock) {
+                let was_synchronized = conn.tcb.state().is_synchronized();
                 conn.tcb.on_segment(now, &seg);
-                if conn.tcb.state() == TcpState::Closed {
+                let state = conn.tcb.state();
+                if state == TcpState::Closed {
                     self.by_quad.remove(&quad);
+                } else if !was_synchronized && state.is_synchronized() {
+                    // The handshake just completed (SYN-RCVD is left for
+                    // a synchronized state only here): file a listener's
+                    // socket as ready, in SYN-arrival order.
+                    if let Some((port, rank)) = conn.backlog {
+                        if let Some(ready) = self.listeners.get_mut(&port) {
+                            let at = ready.partition_point(|&(r, _)| r < rank);
+                            ready.insert(at, (rank, sock));
+                        }
+                    }
                 }
                 self.mark_dirty(sock);
                 return;
@@ -559,8 +587,9 @@ impl NetStack {
             let mut tcb = Tcb::accept(now, quad, iss, &seg, self.cfg.tcp.clone());
             tcb.set_recorder(self.recorder.clone());
             let sid = self.insert_tcb(quad, tcb);
-            self.tcbs.get_mut(sid).expect("just inserted").listen_port = Some(seg.dst_port);
-            self.listeners.get_mut(&seg.dst_port).expect("checked").push(sid);
+            self.syn_arrivals += 1;
+            self.tcbs.get_mut(sid).expect("just inserted").backlog =
+                Some((seg.dst_port, self.syn_arrivals));
             return;
         }
         // Otherwise: RST (never in response to a RST).

@@ -42,25 +42,47 @@ struct Entry<T> {
     token: T,
 }
 
+/// End of a slot's list / of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One pooled entry: the entry and the next one in its slot's list (or
+/// in the free list).
+#[derive(Debug, Clone, Copy)]
+struct Node<T> {
+    entry: Entry<T>,
+    next: u32,
+}
+
+/// A slot's FIFO list of pool indices.
+#[derive(Debug, Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: List = List { head: NIL, tail: NIL };
+
 #[derive(Debug)]
-struct Level<T> {
+struct Level {
     /// Bit i set ⇔ `slots[i]` is non-empty.
     occupied: u64,
-    slots: Vec<Vec<Entry<T>>>,
+    slots: [List; SLOTS],
 }
 
-impl<T> Level<T> {
-    fn new() -> Self {
-        // Small initial capacity per slot keeps the steady-state hot path
-        // allocation-free (the zero-alloc guard test runs over this).
-        Level { occupied: 0, slots: (0..SLOTS).map(|_| Vec::with_capacity(8)).collect() }
-    }
-}
+const LEVEL: Level = Level { occupied: 0, slots: [EMPTY; SLOTS] };
 
 /// A four-level hierarchical timer wheel. See the module docs.
+///
+/// Every slot's entries live in one pool shared by all 256 slots, each
+/// slot a FIFO list threaded through it, so an empty wheel owns only the
+/// two small pre-sized buffers and the pool grows to the live-entry
+/// high-water mark instead of every slot keeping its own vector.
 #[derive(Debug)]
 pub struct TimerWheel<T> {
-    levels: Vec<Level<T>>,
+    levels: [Level; LEVELS],
+    /// Slot-list storage; vacant nodes form a LIFO free list at `free`.
+    pool: Vec<Node<T>>,
+    free: u32,
     /// Entries due within the current tick, carrying precise times so
     /// [`TimerWheel::next_expiry`] converges to the exact deadline.
     imminent: Vec<Entry<T>>,
@@ -80,7 +102,11 @@ impl<T: Copy> TimerWheel<T> {
     /// An empty wheel positioned at virtual time zero.
     pub fn new() -> Self {
         TimerWheel {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
+            levels: [LEVEL; LEVELS],
+            pool: Vec::new(),
+            free: NIL,
+            // Pre-sized so the steady-state hot path stays allocation-free
+            // (the zero-alloc guard test runs over this).
             imminent: Vec::with_capacity(16),
             scratch: Vec::with_capacity(64),
             now_tick: 0,
@@ -111,13 +137,12 @@ impl<T: Copy> TimerWheel<T> {
             self.imminent.push(e);
             return;
         }
-        for (lvl, level) in self.levels.iter_mut().enumerate() {
+        for lvl in 0..LEVELS {
             let shift = SLOT_BITS * lvl as u32;
             let high_delta = (at_tick >> shift) - (self.now_tick >> shift);
             if high_delta <= 63 {
                 let slot = ((at_tick >> shift) & 63) as usize;
-                level.slots[slot].push(e);
-                level.occupied |= 1 << slot;
+                self.push_slot(lvl, slot, e);
                 return;
             }
         }
@@ -125,9 +150,44 @@ impl<T: Copy> TimerWheel<T> {
         // top-level slot; it cascades inward when that block is reached.
         let shift = SLOT_BITS * (LEVELS - 1) as u32;
         let slot = (((self.now_tick >> shift) + 63) & 63) as usize;
-        let top = self.levels.last_mut().expect("LEVELS > 0");
-        top.slots[slot].push(e);
-        top.occupied |= 1 << slot;
+        self.push_slot(LEVELS - 1, slot, e);
+    }
+
+    /// Appends `e` to the tail of a slot's list.
+    fn push_slot(&mut self, lvl: usize, slot: usize, e: Entry<T>) {
+        let node = Node { entry: e, next: NIL };
+        let idx = if self.free == NIL {
+            self.pool.push(node);
+            u32::try_from(self.pool.len() - 1).expect("wheel pool capped at 2^32 - 1 entries")
+        } else {
+            let idx = self.free;
+            self.free = self.pool[idx as usize].next;
+            self.pool[idx as usize] = node;
+            idx
+        };
+        let level = &mut self.levels[lvl];
+        let list = &mut level.slots[slot];
+        match list.tail {
+            NIL => list.head = idx,
+            tail => self.pool[tail as usize].next = idx,
+        }
+        list.tail = idx;
+        level.occupied |= 1 << slot;
+    }
+
+    /// Moves a slot's entries onto `batch` in insertion order, returning
+    /// their nodes to the free list.
+    fn drain_slot(&mut self, lvl: usize, slot: usize, batch: &mut Vec<Entry<T>>) {
+        let level = &mut self.levels[lvl];
+        let mut idx = std::mem::replace(&mut level.slots[slot], EMPTY).head;
+        level.occupied &= !(1u64 << slot);
+        while idx != NIL {
+            let node = &mut self.pool[idx as usize];
+            batch.push(node.entry);
+            let next = std::mem::replace(&mut node.next, self.free);
+            self.free = idx;
+            idx = next;
+        }
     }
 
     /// Advances the wheel to `now_ns`, pushing every token whose entry
@@ -155,31 +215,30 @@ impl<T: Copy> TimerWheel<T> {
         self.now_tick = target;
         debug_assert!(self.scratch.is_empty());
         let mut batch = std::mem::take(&mut self.scratch);
-        for (lvl, level) in self.levels.iter_mut().enumerate() {
+        for lvl in 0..LEVELS {
             let shift = SLOT_BITS * lvl as u32;
             let old_high = old >> shift;
             let new_high = target >> shift;
             if old_high == new_high {
                 break; // higher levels unchanged too
             }
-            if level.occupied == 0 {
+            let occupied = self.levels[lvl].occupied;
+            if occupied == 0 {
                 continue;
             }
             if new_high - old_high >= 64 {
                 // Jump past the whole level: drain every occupied slot.
-                let mut occ = level.occupied;
+                let mut occ = occupied;
                 while occ != 0 {
                     let s = occ.trailing_zeros() as usize;
                     occ &= occ - 1;
-                    batch.append(&mut level.slots[s]);
+                    self.drain_slot(lvl, s, &mut batch);
                 }
-                level.occupied = 0;
             } else {
                 for h in (old_high + 1)..=new_high {
                     let s = (h & 63) as usize;
-                    if level.occupied & (1 << s) != 0 {
-                        batch.append(&mut level.slots[s]);
-                        level.occupied &= !(1u64 << s);
+                    if self.levels[lvl].occupied & (1 << s) != 0 {
+                        self.drain_slot(lvl, s, &mut batch);
                     }
                 }
             }

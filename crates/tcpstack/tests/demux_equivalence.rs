@@ -8,6 +8,10 @@
 //! linearly. Every observable of the real stack — which quads resolve,
 //! which handles are live, how many sockets exist — is checked against
 //! it after every operation batch.
+//!
+//! The accept queue gets the same treatment: a linear reference that
+//! scans every socket ever opened on a listener for the earliest-SYN
+//! one that is established and unaccepted.
 
 use bytes::Bytes;
 use netsim::rng::SplitMix64;
@@ -35,6 +39,17 @@ fn syn_from(client_ip: Ipv4Addr, client_port: u16, dst_port: u16, iss: u32) -> B
     let mut seg = TcpSegment::bare(client_port, dst_port, iss, 0, TcpFlags::SYN, 17520);
     seg.options = vec![TcpOption::Mss(1460)];
     let ip = Ipv4Packet::new(client_ip, VIP, IpProtocol::Tcp, seg.encode(client_ip, VIP));
+    EthernetFrame::new(MacAddr::local(2), MacAddr::local(1), EtherType::Ipv4, ip.encode()).encode()
+}
+
+fn seg_from(quad: Quad, seq: u32, ack: u32, flags: TcpFlags) -> Bytes {
+    let seg = TcpSegment::bare(quad.remote_port, quad.local_port, seq, ack, flags, 17520);
+    let ip = Ipv4Packet::new(
+        quad.remote_ip,
+        quad.local_ip,
+        IpProtocol::Tcp,
+        seg.encode(quad.remote_ip, quad.local_ip),
+    );
     EthernetFrame::new(MacAddr::local(2), MacAddr::local(1), EtherType::Ipv4, ip.encode()).encode()
 }
 
@@ -85,7 +100,7 @@ fn check_equivalent(stack: &NetStack, model: &LinearModel) {
 
 #[test]
 fn random_churn_matches_linear_reference_model() {
-    let mut rng = SplitMix64::new(0xD3_0D_2024);
+    let mut rng = SplitMix64::new(0xD30D_2024);
     let mut stack = server();
     let mut model = LinearModel::default();
     let now = SimTime::ZERO;
@@ -100,7 +115,7 @@ fn random_churn_matches_linear_reference_model() {
                 let ip = Ipv4Addr::new(10, 1, (i / 200) as u8, (i % 200) as u8 + 1);
                 let port = 20_000 + (i % 20_000) as u16;
                 let dst = if rng.next_below(2) == 0 { 80 } else { 81 };
-                stack.handle_frame(now, syn_from(ip, port, dst, i.wrapping_mul(2654435761)));
+                stack.handle_frame(now, syn_from(ip, port, dst, i.wrapping_mul(2_654_435_761)));
                 let quad =
                     Quad { local_ip: VIP, local_port: dst, remote_ip: ip, remote_port: port };
                 let sock = stack.sock_by_quad(quad).expect("SYN creates a connection");
@@ -188,4 +203,172 @@ fn generation_reuse_never_aliases() {
         stale.push(sock);
     }
     assert_eq!(stack.sock_count(), 0);
+}
+
+/// A listener-side connection driven by hand: SYN in, then the
+/// handshake-completing ACK or a RST.
+struct Peer {
+    quad: Quad,
+    iss: u32,
+}
+
+impl Peer {
+    fn syn(stack: &mut NetStack, i: u32, dst: u16) -> (Peer, SockId) {
+        let ip = Ipv4Addr::new(10, 2, (i / 200) as u8, (i % 200) as u8 + 1);
+        let port = 20_000 + (i % 20_000) as u16;
+        let iss = i.wrapping_mul(2_654_435_761);
+        stack.handle_frame(SimTime::ZERO, syn_from(ip, port, dst, iss));
+        let quad = Quad { local_ip: VIP, local_port: dst, remote_ip: ip, remote_port: port };
+        let sock = stack.sock_by_quad(quad).expect("SYN creates a connection");
+        (Peer { quad, iss }, sock)
+    }
+
+    fn complete(&self, stack: &mut NetStack, sock: SockId) {
+        let ack = stack.tcb(sock).expect("live").iss().raw().wrapping_add(1);
+        stack.handle_frame(SimTime::ZERO, seg_from(self.quad, self.iss + 1, ack, TcpFlags::ACK));
+        assert_eq!(stack.state(sock), Some(TcpState::Established));
+    }
+
+    fn reset(&self, stack: &mut NetStack, sock: SockId) {
+        stack.handle_frame(SimTime::ZERO, seg_from(self.quad, self.iss + 1, 0, TcpFlags::RST));
+        assert_eq!(stack.state(sock), Some(TcpState::Closed));
+    }
+}
+
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Phase {
+    HalfOpen,
+    Established,
+    Reset,
+    Accepted,
+}
+
+/// Reference accept queue: every socket opened on a listener, in SYN
+/// order, scanned linearly.
+#[derive(Default)]
+struct AcceptModel {
+    socks: Vec<(u16, SockId, Phase)>,
+}
+
+impl AcceptModel {
+    fn accept(&mut self, port: u16) -> Option<SockId> {
+        let entry = self
+            .socks
+            .iter_mut()
+            .find(|(p, _, phase)| *p == port && *phase == Phase::Established)?;
+        entry.2 = Phase::Accepted;
+        Some(entry.1)
+    }
+
+    /// A random socket in `phase`, if any.
+    fn pick(&self, rng: &mut SplitMix64, phase: Phase) -> Option<usize> {
+        let of_phase: Vec<usize> =
+            (0..self.socks.len()).filter(|&i| self.socks[i].2 == phase).collect();
+        (!of_phase.is_empty()).then(|| of_phase[rng.next_below(of_phase.len() as u64) as usize])
+    }
+}
+
+/// Random SYNs, handshake completions, resets, releases and accepts on
+/// two listeners; every accept must return what the reference returns.
+/// With `half_open`, that many extra connections sit in SYN-RCVD on the
+/// same listeners for the whole run; they must not change any accept.
+fn accept_churn(half_open: u32) -> Vec<Option<Quad>> {
+    let mut rng = SplitMix64::new(0xACC3_9701);
+    let mut stack = server();
+    for i in 0..half_open {
+        Peer::syn(&mut stack, 50_000 + i, 80 + (i % 2) as u16);
+    }
+    let mut model = AcceptModel::default();
+    let mut peers = Vec::new();
+    let mut accepted = Vec::new();
+    for _ in 0..3000 {
+        match rng.next_below(100) {
+            0..=29 => {
+                let dst = 80 + rng.next_below(2) as u16;
+                let (peer, sock) = Peer::syn(&mut stack, peers.len() as u32, dst);
+                peers.push(peer);
+                model.socks.push((dst, sock, Phase::HalfOpen));
+            }
+            30..=59 => {
+                if let Some(i) = model.pick(&mut rng, Phase::HalfOpen) {
+                    peers[i].complete(&mut stack, model.socks[i].1);
+                    model.socks[i].2 = Phase::Established;
+                }
+            }
+            60..=69 => {
+                let phase =
+                    if rng.next_below(2) == 0 { Phase::HalfOpen } else { Phase::Established };
+                if let Some(i) = model.pick(&mut rng, phase) {
+                    peers[i].reset(&mut stack, model.socks[i].1);
+                    model.socks[i].2 = Phase::Reset;
+                }
+            }
+            70..=74 => {
+                if let Some(i) = model.pick(&mut rng, Phase::Reset) {
+                    stack.release(model.socks[i].1);
+                    assert_eq!(stack.state(model.socks[i].1), None);
+                }
+            }
+            _ => {
+                let port = 80 + rng.next_below(2) as u16;
+                let got = stack.accept(port);
+                assert_eq!(got, model.accept(port), "accept on {port} diverged from the reference");
+                accepted.push(got.map(|s| stack.tcb(s).expect("accepted socket is live").quad()));
+            }
+        }
+    }
+    accepted
+}
+
+#[test]
+fn accept_matches_linear_reference_queue() {
+    let accepted = accept_churn(0);
+    assert!(accepted.iter().filter(|a| a.is_some()).count() > 300, "churn accepted too little");
+}
+
+#[test]
+fn half_open_sockets_do_not_change_what_accept_returns() {
+    assert_eq!(accept_churn(1000), accept_churn(0));
+}
+
+#[test]
+fn handshakes_completed_between_accepts_come_out_in_syn_order() {
+    let mut stack = server();
+    let opened: Vec<(Peer, SockId)> = (0..6).map(|i| Peer::syn(&mut stack, i, 80)).collect();
+    assert_eq!(stack.accept(80), None, "half-open sockets are not accepted");
+    assert_eq!(stack.accept_queue_len(80), 0, "half-open sockets are not queued");
+    for (peer, sock) in opened.iter().rev() {
+        peer.complete(&mut stack, *sock);
+    }
+    assert_eq!(stack.accept_queue_len(80), 6);
+    let got: Vec<SockId> = std::iter::from_fn(|| stack.accept(80)).collect();
+    let want: Vec<SockId> = opened.iter().map(|&(_, s)| s).collect();
+    assert_eq!(got, want);
+    assert_eq!(stack.accept_queue_len(80), 0);
+}
+
+#[test]
+fn reset_before_accept_is_never_returned_and_release_unlinks() {
+    let mut stack = server();
+    let (a, sa) = Peer::syn(&mut stack, 1, 80);
+    let (b, sb) = Peer::syn(&mut stack, 2, 80);
+    let (c, sc) = Peer::syn(&mut stack, 3, 80);
+    a.complete(&mut stack, sa);
+    c.complete(&mut stack, sc);
+    a.reset(&mut stack, sa); // established, then reset before accept
+    b.reset(&mut stack, sb); // reset while half-open
+    assert_eq!(stack.accept_queue_len(80), 2, "only completed handshakes are queued");
+    stack.release(sa);
+    stack.release(sb);
+    assert_eq!(stack.accept_queue_len(80), 1, "release unlinks the queued socket");
+    assert_eq!(stack.accept(80), Some(sc));
+    assert_eq!(stack.accept(80), None);
+    // Reset and never released: accept drops it instead of returning it.
+    let (d, sd) = Peer::syn(&mut stack, 4, 80);
+    d.complete(&mut stack, sd);
+    d.reset(&mut stack, sd);
+    assert_eq!(stack.accept(80), None);
+    assert_eq!(stack.accept_queue_len(80), 0, "nothing is left behind");
+    stack.release(sd);
+    assert_eq!(stack.sock_count(), 1, "only the accepted socket is left");
 }

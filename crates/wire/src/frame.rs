@@ -70,7 +70,9 @@ pub struct TcpFrameHeader<'a> {
 /// One builder per stack; frames of a burst are packed back-to-back in
 /// the shared buffer and split off as [`Bytes`] views. Call
 /// [`FrameBuilder::recycle`] once per poll so the buffer is reclaimed
-/// in place as soon as every in-flight view has been dropped.
+/// in place as soon as every in-flight view has been dropped. The buffer
+/// starts empty and grows to the largest burst, so a stack that never
+/// sends much never holds much.
 #[derive(Debug)]
 pub struct FrameBuilder {
     buf: BytesMut,
@@ -86,12 +88,9 @@ impl Default for FrameBuilder {
 }
 
 impl FrameBuilder {
-    /// Default initial buffer capacity (grows to the working set).
-    const DEFAULT_CAPACITY: usize = 64 * 1024;
-
-    /// Creates a builder with the default capacity.
+    /// Creates an empty builder; it allocates on first use.
     pub fn new() -> FrameBuilder {
-        FrameBuilder::with_capacity(Self::DEFAULT_CAPACITY)
+        FrameBuilder::with_capacity(0)
     }
 
     /// Creates a builder with a specific initial capacity.
